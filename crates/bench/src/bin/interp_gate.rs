@@ -29,6 +29,7 @@
 //! and exits nonzero when either gate fails.
 
 use criterion::{black_box, measure, Measurement};
+use pdo_bench::{json_side, median};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
@@ -115,35 +116,6 @@ fn fused_twin(m: &Module, workload: &str) -> Module {
         "{workload}: fusion must shrink the body"
     );
     fused
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
-fn json_side(mins: &[f64], means: &[f64]) -> String {
-    let mut mins = mins.to_vec();
-    let (mean, ci95) = mean_ci(means);
-    format!(
-        "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
-        median(&mut mins),
-        mean,
-        ci95
-    )
 }
 
 struct Side {

@@ -17,8 +17,9 @@
 
 use criterion::{black_box, measure, Measurement};
 use pdo::{optimize, OptimizeOptions};
+use pdo_bench::{build_module, json_side, median, runtime_for};
 use pdo_events::{Runtime, TraceConfig};
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
+use pdo_ir::{EventId, RaiseMode, Value};
 use pdo_profile::Profile;
 
 /// Maximum tolerated metrics-on/metrics-off ratio.
@@ -29,34 +30,6 @@ const ROUNDS: usize = 9;
 
 /// Batch-average samples per round (passed to the criterion shim).
 const SAMPLES: usize = 10;
-
-fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {
-    let mut m = Module::new();
-    let e = m.add_event("E");
-    let g = m.add_global("acc", Value::Int(0));
-    let ids = (0..handlers)
-        .map(|i| {
-            let mut b = FunctionBuilder::new(format!("h{i}"), 1);
-            b.lock(g);
-            let v = b.load_global(g);
-            let k = b.const_int(i as i64 + 1);
-            let s = b.bin(BinOp::Add, v, k);
-            b.store_global(g, s);
-            b.unlock(g);
-            b.ret(None);
-            m.add_function(b.finish())
-        })
-        .collect();
-    (m, e, ids)
-}
-
-fn runtime_for(m: &Module, e: EventId, hs: &[FuncId]) -> Runtime {
-    let mut rt = Runtime::new(m.clone());
-    for (i, &h) in hs.iter().enumerate() {
-        rt.bind(e, h, i as i32).expect("bind");
-    }
-    rt
-}
 
 /// Builds a runtime running the specialized fast path for `E`, matching
 /// the `dispatch` bench's fastpath configuration.
@@ -77,24 +50,6 @@ fn fastpath_runtime(metrics: bool) -> (Runtime, EventId) {
     (rt, e)
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
 fn round(rt: &mut Runtime, e: EventId) -> Measurement {
     measure(
         || {
@@ -102,17 +57,6 @@ fn round(rt: &mut Runtime, e: EventId) -> Measurement {
                 .unwrap()
         },
         SAMPLES,
-    )
-}
-
-fn json_side(mins: &[f64], means: &[f64]) -> String {
-    let mut mins = mins.to_vec();
-    let (mean, ci95) = mean_ci(means);
-    format!(
-        "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
-        median(&mut mins),
-        mean,
-        ci95
     )
 }
 

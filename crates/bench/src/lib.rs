@@ -13,6 +13,9 @@
 //!
 //! The `report` binary prints each table with the paper's reference numbers
 //! alongside; the Criterion benches measure the same paths statistically.
+//! The crate root also holds what the overhead-gate binaries share: their
+//! summary statistics ([`median`], [`mean_ci`], [`json_side`]) and their
+//! dispatch workload ([`build_module`], [`runtime_for`]).
 
 pub mod ablate;
 pub mod paper;
@@ -21,6 +24,8 @@ pub mod sizes;
 pub mod video;
 pub mod xcli;
 
+use pdo_events::Runtime;
+use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
 use std::time::Instant;
 
 /// Measures the average wall-clock nanoseconds of `op` over `iters`
@@ -57,6 +62,72 @@ pub fn percent(optimized: f64, original: f64) -> f64 {
     }
 }
 
+/// Median of `xs` (sorts in place; the mean of the middle two for an
+/// even count).
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Mean and normal-approximation 95% CI half-width over `xs`.
+pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, 1.96 * (var / n).sqrt())
+}
+
+/// One side of an interleaved A/B gate as a JSON object: the median of
+/// the per-round minimum batch averages, and the mean ± 95% CI of the
+/// per-round mean batch averages.
+pub fn json_side(mins: &[f64], means: &[f64]) -> String {
+    let mut mins = mins.to_vec();
+    let (mean, ci95) = mean_ci(means);
+    format!(
+        "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
+        median(&mut mins),
+        mean,
+        ci95
+    )
+}
+
+/// The overhead gates' dispatch workload: one event `E` with `handlers`
+/// one-argument handlers, each adding its 1-based index to a global
+/// under that global's lock.
+pub fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {
+    let mut m = Module::new();
+    let e = m.add_event("E");
+    let g = m.add_global("acc", Value::Int(0));
+    let ids = (0..handlers)
+        .map(|i| {
+            let mut b = FunctionBuilder::new(format!("h{i}"), 1);
+            b.lock(g);
+            let v = b.load_global(g);
+            let k = b.const_int(i as i64 + 1);
+            let s = b.bin(BinOp::Add, v, k);
+            b.store_global(g, s);
+            b.unlock(g);
+            b.ret(None);
+            m.add_function(b.finish())
+        })
+        .collect();
+    (m, e, ids)
+}
+
+/// A runtime over `m` with `hs` bound to `e` in order.
+pub fn runtime_for(m: &Module, e: EventId, hs: &[FuncId]) -> Runtime {
+    let mut rt = Runtime::new(m.clone());
+    for (i, &h) in hs.iter().enumerate() {
+        rt.bind(e, h, i as i32).expect("bind");
+    }
+    rt
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +136,14 @@ mod tests {
     fn percent_basics() {
         assert!((percent(50.0, 100.0) - 50.0).abs() < 1e-9);
         assert_eq!(percent(1.0, 0.0), 100.0);
+    }
+
+    #[test]
+    fn median_and_mean_ci() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        let (mean, ci) = mean_ci(&[1.0, 1.0, 1.0]);
+        assert_eq!((mean, ci), (1.0, 0.0));
     }
 
     #[test]

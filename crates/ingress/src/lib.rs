@@ -362,8 +362,9 @@ impl Ingress {
         self.unix_path.as_ref()
     }
 
-    /// Drains admitted commands from every shard queue and executes them
-    /// on `server`, sending replies back through the acceptor. Returns
+    /// Drains admitted commands from every shard queue, taking one from
+    /// each shard in turn, and executes them on `server`, sending
+    /// replies back through the acceptor. Returns
     /// the number of commands processed. Non-blocking: returns 0 when
     /// the queues are empty.
     ///
@@ -373,14 +374,17 @@ impl Ingress {
     /// failing inside the server). Per-command failures become typed
     /// `Error` replies to the issuing client.
     pub fn drive(&mut self, server: &mut Server) -> Result<usize, ServerError> {
+        let shards = self.work_rxs.len();
+        let bound = self.cfg.shard_queue.max(1) * shards;
         let mut processed = 0usize;
-        for shard in 0..self.work_rxs.len() {
-            // Bound the drain so one hot shard cannot starve the others
-            // within a single call.
-            for _ in 0..self.cfg.shard_queue.max(1) {
-                let work = match self.work_rxs[shard].try_recv() {
-                    Ok(w) => w,
-                    Err(_) => break,
+        // One request per shard per round: a connection whose replies come
+        // back faster than the engine executes keeps its shard's queue
+        // full, and draining shards one at a time would serve it alone.
+        while processed < bound {
+            let before = processed;
+            for shard in 0..shards {
+                let Ok(work) = self.work_rxs[shard].try_recv() else {
+                    continue;
                 };
                 let reply = self.execute(server, shard, work.conn, &work.request);
                 let latency = work.admitted_at.elapsed().as_nanos() as u64;
@@ -395,6 +399,9 @@ impl Ingress {
                 self.shared.limiter.release();
                 self.shared.replied.fetch_add(1, Ordering::Relaxed);
                 processed += 1;
+            }
+            if processed == before {
+                break;
             }
         }
         self.since_epoch += processed as u64;

@@ -75,9 +75,9 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Power-of-two-choices shard for a new connection: two deterministic
-/// candidates from the connection id, pick the one with fewer live
-/// connections, queue depth breaking ties.
+/// Power-of-two-choices shard for a new connection: two distinct
+/// deterministic candidates from the connection id, pick the one with
+/// fewer live connections, queue depth breaking ties.
 fn pick_shard(shared: &Shared, conn_id: u64) -> usize {
     let n = shared.conns_on_shard.len();
     if n == 1 {
@@ -85,7 +85,8 @@ fn pick_shard(shared: &Shared, conn_id: u64) -> usize {
     }
     let h = splitmix64(conn_id);
     let a = (h as usize) % n;
-    let b = ((h >> 32) as usize) % n;
+    // Drawn from the other `n - 1` shards, so `b != a`.
+    let b = (a + 1 + ((h >> 32) as usize) % (n - 1)) % n;
     let load = |s: usize| {
         (
             shared.conns_on_shard[s].load(Ordering::Relaxed),

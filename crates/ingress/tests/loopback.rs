@@ -380,3 +380,32 @@ fn quiesce_drains_then_sheds_then_resumes() {
     assert_eq!(pump(&mut ingress, &mut server, &to_main_rx), "done");
     client.join().unwrap();
 }
+
+#[test]
+fn two_connections_to_an_idle_two_shard_ingress_land_on_different_shards() {
+    let server = Server::new(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+    let ingress = Ingress::bind(IngressConfig::default(), server.shards()).unwrap();
+    let addr = ingress.tcp_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let client_stop = Arc::clone(&stop);
+    let client = std::thread::spawn(move || {
+        let (m, _, binds) = counter_module();
+        // Both connections stay open, so the second one's placement sees
+        // the first one's load.
+        let mut c1 = Client::connect_tcp(addr).unwrap();
+        let s1 = c1.open(plain_open(&m, &binds)).unwrap();
+        let mut c2 = Client::connect_tcp(addr).unwrap();
+        let s2 = c2.open(plain_open(&m, &binds)).unwrap();
+        let shards = (c1.query(s1).unwrap().shard, c2.query(s2).unwrap().shard);
+        client_stop.store(true, Ordering::SeqCst);
+        shards
+    });
+
+    run_engine(ingress, server, &stop);
+    let (a, b) = client.join().unwrap();
+    assert_ne!(a, b, "p2c candidates are distinct shards");
+}

@@ -12,13 +12,13 @@
 //!   module state), so the server never moves a runtime between threads.
 //!   Instead, with [`ServerConfig::threads`] > 1 each shard — including
 //!   its runtimes and [`AdaptiveEngine`]s — is **constructed, driven,
-//!   and dropped entirely inside one worker thread**; the coordinator
-//!   talks to it over a per-shard `mpsc` command channel carrying only
-//!   `Send` data (session specs, event batches, deadlines, report and
-//!   metrics snapshots). With `threads = 1` the identical shard code
-//!   runs inline with no threads at all, which is why parallelism is
-//!   observationally invisible: both modes execute the same
-//!   [`ShardState`] methods in the same per-shard order.
+//!   and dropped entirely inside one worker thread**. Every call into a
+//!   shard goes through one seam: a `Send` closure over the shard's
+//!   state, run in place when `threads = 1` and boxed to the owning
+//!   worker otherwise, with only `Send` data (session specs, event
+//!   batches, deadlines, report and metrics snapshots) crossing threads.
+//!   Parallelism is therefore observationally invisible: both modes run
+//!   the same `ShardState` methods in the same per-shard order.
 //! - New sessions are placed by **power-of-two-choices** over reported
 //!   shard load (resident sessions, then cumulative dispatches) with
 //!   splitmix64 supplying the two deterministic candidates, and the
@@ -39,11 +39,10 @@
 //! - [`Server::report`] snapshots per-shard and per-session counters;
 //!   [`Server::metrics`] scrapes every layer into one
 //!   [`MetricsSnapshot`], including per-shard queue-depth and busy-ns
-//!   load series. Because shard-interior state never crosses the channel
-//!   boundary, the borrow-style accessors of the single-threaded design
-//!   (`runtime()`, `engine()`, `ctp_mut()`) are replaced by the
-//!   closure-shipping [`Server::with_session`] family and the
-//!   snapshot-returning [`Server::engine_stats`].
+//!   load series. Shard-interior state never leaves its owning thread,
+//!   so sessions are reached through the closure-shipping
+//!   [`Server::with_session`] family and the snapshot-returning
+//!   [`Server::engine_stats`], never through borrows.
 
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine};
 use pdo_cactus::EventProgram;
@@ -69,8 +68,8 @@ mod snapshot;
 use snapshot::{KindSnapshot, SessionSnapshot};
 
 const WORKER_ALIVE: &str = "shard worker lives until Server::drop closes the channel";
-const WORKER_REPLIES: &str = "shard worker replies to every command before exiting";
-const SHARD_OWNED: &str = "commands are routed to the worker that owns the shard";
+const WORKER_REPLIES: &str = "shard worker runs every job it receives before exiting";
+const SHARD_OWNED: &str = "jobs are routed to the worker that owns the shard";
 
 /// Identifies one session for the lifetime of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,8 +163,8 @@ enum SessionKind {
 
 /// One resident session: its runtime (possibly wrapped in a protocol
 /// endpoint) plus the adaptation daemon attached to it. Lives entirely
-/// on the shard's owning thread; only accessed across the channel
-/// boundary through shipped closures ([`Server::with_session`]).
+/// on the shard's owning thread; callers reach it only through closures
+/// run on that thread ([`Server::with_session`]).
 struct Session {
     kind: SessionKind,
     engine: Rc<RefCell<AdaptiveEngine>>,
@@ -193,9 +192,9 @@ fn kind_runtime_mut(kind: &mut SessionKind) -> &mut Runtime {
     }
 }
 
-/// Everything needed to (re)build a session on a shard. This is the
-/// `Send` payload that crosses the coordinator→worker channel; the
-/// `!Send` runtime is constructed from it on the owning thread.
+/// Everything needed to (re)build a session on a shard. It is plain
+/// `Send` data, moved into the job that opens the session; the `!Send`
+/// runtime is constructed from it on the shard's owning thread.
 enum SessionSpec {
     Plain {
         module: Module,
@@ -341,10 +340,11 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// One shard's complete state and behavior. **This is the single
-/// implementation both execution modes run**: inline mode calls these
-/// methods on the coordinator thread, threaded mode calls the very same
-/// methods from the shard's worker thread — which is the whole argument
-/// for why `threads = N` is observationally identical to `threads = 1`.
+/// implementation both execution modes run**: every server call reaches
+/// it through [`Mode::post`], which runs the same closure over these
+/// methods on the caller's thread (inline) or on the shard's worker
+/// thread (threaded) — which is the whole argument for why
+/// `threads = N` is observationally identical to `threads = 1`.
 struct ShardState {
     index: usize,
     adapt: AdaptConfig,
@@ -567,8 +567,7 @@ impl ShardState {
         self.tracer.spans()
     }
 
-    /// Submits a batch of timed raises of `event`, one per delay, in one
-    /// channel round trip.
+    /// Submits a batch of timed raises of `event`, one per delay.
     fn batch(&mut self, id: SessionId, event: EventId, delays: &[u64]) -> Result<(), ServerError> {
         let rt = self
             .sessions
@@ -821,182 +820,108 @@ impl ShardState {
     }
 }
 
-/// A closure shipped to a shard's owning thread; receives the session
-/// (with its shard index) if it exists, `None` otherwise.
-type SessionFn = Box<dyn FnOnce(Option<(&mut Session, usize)>) + Send>;
-
-/// The coordinator→worker command protocol. Every payload is `Send`;
-/// replies come back on per-command `mpsc` channels so the coordinator
-/// can interleave commands to many shards and collect replies in shard
-/// order (which keeps aggregation deterministic).
-enum Cmd {
-    Open {
-        shard: usize,
-        id: SessionId,
-        spec: SessionSpec,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    Close {
-        shard: usize,
-        id: SessionId,
-        reply: Sender<bool>,
-    },
-    Raise {
-        shard: usize,
-        id: SessionId,
-        event: EventId,
-        mode: RaiseMode,
-        args: Vec<Value>,
-        ctx: Option<TraceCtx>,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    Batch {
-        shard: usize,
-        id: SessionId,
-        event: EventId,
-        delays: Vec<u64>,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    RunUntil {
-        shard: usize,
-        deadline_ns: u64,
-        reply: Sender<(Result<(), ServerError>, ShardLoad)>,
-    },
-    Load {
-        shard: usize,
-        reply: Sender<ShardLoad>,
-    },
-    Metrics {
-        shard: usize,
-        reply: Sender<MetricsSnapshot>,
-    },
-    Report {
-        shard: usize,
-        reply: Sender<(ShardReport, Vec<SessionReport>)>,
-    },
-    Dump {
-        shard: usize,
-        n: usize,
-        reply: Sender<Vec<(SessionId, String)>>,
-    },
-    Drain {
-        shard: usize,
-        reply: Sender<Option<(SessionId, SessionSnapshot)>>,
-    },
-    SnapshotAll {
-        shard: usize,
-        reply: Sender<Vec<(SessionId, SessionSnapshot)>>,
-    },
-    Traces {
-        shard: usize,
-        reply: Sender<Vec<Span>>,
-    },
-    With {
-        shard: usize,
-        id: SessionId,
-        f: SessionFn,
-    },
-}
+/// Work shipped to a shard's owning worker: runs against that shard's
+/// state on the worker thread.
+type Job = Box<dyn FnOnce(&mut ShardState) + Send>;
 
 /// Worker thread body: builds its shards *here* (so every `!Send`
-/// runtime is born on this thread), serves commands until the channel
-/// closes, then drops the shards (still on this thread).
-fn worker_main(rx: Receiver<Cmd>, shard_ids: Vec<usize>, adapt: AdaptConfig, observability: bool) {
+/// runtime is born on this thread), runs jobs until the channel closes,
+/// then drops the shards (still on this thread).
+fn worker_main(
+    rx: Receiver<(usize, Job)>,
+    shard_ids: Vec<usize>,
+    adapt: AdaptConfig,
+    observability: bool,
+) {
     let mut shards: BTreeMap<usize, ShardState> = shard_ids
         .into_iter()
         .map(|i| (i, ShardState::new(i, adapt, observability)))
         .collect();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Open {
-                shard,
-                id,
-                spec,
-                reply,
-            } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).open(id, spec));
-            }
-            Cmd::Close { shard, id, reply } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).close(id));
-            }
-            Cmd::Raise {
-                shard,
-                id,
-                event,
-                mode,
-                args,
-                ctx,
-                reply,
-            } => {
-                let _ = reply.send(
-                    shards
-                        .get_mut(&shard)
-                        .expect(SHARD_OWNED)
-                        .raise(id, event, mode, &args, ctx),
-                );
-            }
-            Cmd::Batch {
-                shard,
-                id,
-                event,
-                delays,
-                reply,
-            } => {
-                let _ = reply.send(
-                    shards
-                        .get_mut(&shard)
-                        .expect(SHARD_OWNED)
-                        .batch(id, event, &delays),
-                );
-            }
-            Cmd::RunUntil {
-                shard,
-                deadline_ns,
-                reply,
-            } => {
-                let state = shards.get_mut(&shard).expect(SHARD_OWNED);
-                let result = state.run_until(deadline_ns);
-                let _ = reply.send((result, state.load()));
-            }
-            Cmd::Load { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).load());
-            }
-            Cmd::Metrics { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).metrics());
-            }
-            Cmd::Report { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).report());
-            }
-            Cmd::Dump { shard, n, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).dump(n));
-            }
-            Cmd::Drain { shard, reply } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).drain_quiescent());
-            }
-            Cmd::SnapshotAll { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).snapshot_all());
-            }
-            Cmd::Traces { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).trace_spans());
-            }
-            Cmd::With { shard, id, f } => {
-                let state = shards.get_mut(&shard).expect(SHARD_OWNED);
-                let index = state.index;
-                f(state.sessions.get_mut(&id).map(|s| (s, index)));
-            }
+    while let Ok((shard, f)) = rx.recv() {
+        f(shards.get_mut(&shard).expect(SHARD_OWNED));
+    }
+}
+
+/// How the coordinator reaches its shards: in place (inline) or through
+/// per-shard job channels into worker threads. `txs[i]` is a clone of
+/// the owning worker's sender, so routing is just an index. The only
+/// code that tells the two apart is the seam below ([`Mode::post`]).
+enum Mode {
+    Inline(Vec<RefCell<ShardState>>),
+    Threaded {
+        txs: Vec<Sender<(usize, Job)>>,
+        handles: Vec<JoinHandle<()>>,
+    },
+}
+
+/// The reply to a [`Mode::post`]: computed already (inline) or on its
+/// way back from the owning worker (threaded).
+enum Pending<R> {
+    Ready(R),
+    Waiting(Receiver<R>),
+}
+
+impl<R> Pending<R> {
+    fn wait(self) -> R {
+        match self {
+            Pending::Ready(r) => r,
+            Pending::Waiting(rx) => rx.recv().expect(WORKER_REPLIES),
         }
     }
 }
 
-/// How the coordinator reaches its shards: direct calls (inline) or
-/// per-shard command channels into worker threads. `txs[i]` is a clone
-/// of the owning worker's sender, so routing is just an index.
-enum Mode {
-    Inline(Vec<ShardState>),
-    Threaded {
-        txs: Vec<Sender<Cmd>>,
-        handles: Vec<JoinHandle<()>>,
-    },
+impl Mode {
+    fn shards(&self) -> usize {
+        match self {
+            Mode::Inline(states) => states.len(),
+            Mode::Threaded { txs, .. } => txs.len(),
+        }
+    }
+
+    /// The one place work enters a shard. Inline, `f` runs now on the
+    /// caller's thread; threaded, it is boxed to the shard's owning
+    /// worker, which runs it between the shard's other jobs in arrival
+    /// order. Either way `f` sees the same `ShardState`.
+    fn post<R, F>(&self, shard: usize, f: F) -> Pending<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ShardState) -> R + Send + 'static,
+    {
+        match self {
+            Mode::Inline(states) => Pending::Ready(f(&mut states[shard].borrow_mut())),
+            Mode::Threaded { txs, .. } => {
+                let (reply, rx) = mpsc::channel();
+                let job: Job = Box::new(move |state| {
+                    let _ = reply.send(f(state));
+                });
+                txs[shard].send((shard, job)).expect(WORKER_ALIVE);
+                Pending::Waiting(rx)
+            }
+        }
+    }
+
+    /// Runs `f` on `shard` and waits for its result.
+    fn on<R, F>(&self, shard: usize, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ShardState) -> R + Send + 'static,
+    {
+        self.post(shard, f).wait()
+    }
+
+    /// Runs `f` on every shard and returns the results in shard order.
+    /// Every shard is posted to before any reply is awaited, so threaded
+    /// shards run concurrently.
+    fn each<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ShardState) -> R + Send + Clone + 'static,
+    {
+        let pending: Vec<Pending<R>> = (0..self.shards())
+            .map(|shard| self.post(shard, f.clone()))
+            .collect();
+        pending.into_iter().map(Pending::wait).collect()
+    }
 }
 
 /// A borrow of one session, delivered to [`Server::with_session`]
@@ -1103,12 +1028,12 @@ impl Server {
         let mode = if threads == 1 {
             Mode::Inline(
                 (0..shards)
-                    .map(|i| ShardState::new(i, config.adapt, config.observability))
+                    .map(|i| RefCell::new(ShardState::new(i, config.adapt, config.observability)))
                     .collect(),
             )
         } else {
             let workers = threads.min(shards);
-            let mut txs: Vec<Option<Sender<Cmd>>> = (0..shards).map(|_| None).collect();
+            let mut txs: Vec<Option<Sender<(usize, Job)>>> = (0..shards).map(|_| None).collect();
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
                 let (tx, rx) = mpsc::channel();
@@ -1230,22 +1155,7 @@ impl Server {
             Some(s) => s % self.shards(),
             None => self.pick_shard(id),
         };
-        let result = match &mut self.mode {
-            Mode::Inline(states) => states[shard].open(id, spec),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Open {
-                        shard,
-                        id,
-                        spec,
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        result?;
+        self.mode.on(shard, move |s| s.open(id, spec))?;
         self.next_id += 1;
         self.placement.insert(id, shard);
         self.loads[shard].sessions += 1;
@@ -1377,16 +1287,7 @@ impl Server {
         let Some(&shard) = self.placement.get(&id) else {
             return false;
         };
-        let existed = match &mut self.mode {
-            Mode::Inline(states) => states[shard].close(id),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Close { shard, id, reply })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
+        let existed = self.mode.on(shard, move |s| s.close(id));
         if existed {
             self.placement.remove(&id);
             self.loads[shard].sessions = self.loads[shard].sessions.saturating_sub(1);
@@ -1432,24 +1333,9 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => states[shard].raise(id, event, mode, args, ctx),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Raise {
-                        shard,
-                        id,
-                        event,
-                        mode,
-                        args: args.to_vec(),
-                        ctx,
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        }
+        let args = args.to_vec();
+        self.mode
+            .on(shard, move |s| s.raise(id, event, mode, &args, ctx))
     }
 
     /// Raises `event` synchronously on session `id` (dispatches now).
@@ -1505,9 +1391,9 @@ impl Server {
     }
 
     /// Submits one timed raise of `event` (no extra args) per delay in
-    /// `delays` — a whole workload's injections in a single channel
-    /// round trip, which is what keeps the threaded server's command
-    /// overhead off the benchmark's critical path.
+    /// `delays` — a whole workload's injections in one job on the shard,
+    /// which is what keeps the threaded server's per-call hand-off off
+    /// the benchmark's critical path.
     ///
     /// # Errors
     ///
@@ -1525,29 +1411,15 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => states[shard].batch(id, event, delays),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Batch {
-                        shard,
-                        id,
-                        event,
-                        delays: delays.to_vec(),
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        }
+        let delays = delays.to_vec();
+        self.mode.on(shard, move |s| s.batch(id, event, &delays))
     }
 
     /// Advances every session on every shard to `deadline_ns`: dispatches
     /// all due queued/timed work, then pads each session's clock to the
     /// deadline so adaptation epochs fire even on idle sessions. In
-    /// threaded mode all shards run **concurrently** — the command fans
-    /// out, then replies are collected in shard order; inline mode runs
+    /// threaded mode all shards run **concurrently** — the job is posted
+    /// to every shard, then results are collected in shard order; inline mode runs
     /// the same shard code sequentially. Either way every shard always
     /// runs to the deadline, and on failure the error of the
     /// lowest-indexed failing shard is reported (a shard stops at its
@@ -1558,50 +1430,22 @@ impl Server {
     /// The lowest-indexed shard's first session failure (tagged with its
     /// session id).
     pub fn run_until(&mut self, deadline_ns: u64) -> Result<(), ServerError> {
-        let outcomes: Vec<(Result<(), ServerError>, ShardLoad)> = match &mut self.mode {
-            Mode::Inline(states) => states
-                .iter_mut()
-                .map(|s| (s.run_until(deadline_ns), s.load()))
-                .collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<(Result<(), ServerError>, ShardLoad)>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::RunUntil {
-                                shard,
-                                deadline_ns,
-                                reply,
-                            })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
-        let mut first_err = None;
-        for (result, load) in outcomes {
+        let mut first = Ok(());
+        for (result, load) in self
+            .mode
+            .each(move |s| (s.run_until(deadline_ns), s.load()))
+        {
             self.loads[load.shard] = load;
-            if first_err.is_none() {
-                if let Err(e) = result {
-                    first_err = Some(e);
-                }
+            if first.is_ok() {
+                first = result;
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first
     }
 
     /// Ships `f` to session `id`'s owning thread and runs it there with
-    /// a [`SessionCtx`] borrow. This replaces the single-threaded
-    /// design's `runtime()` / `engine()` accessors: the closure crosses
-    /// the channel (it is `Send`), the `!Send` session never does.
+    /// a [`SessionCtx`] borrow: the closure crosses threads (it is
+    /// `Send`), the `!Send` session never does.
     ///
     /// # Errors
     ///
@@ -1615,30 +1459,12 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => match states[shard].sessions.get_mut(&id) {
-                Some(session) => Ok(f(&mut SessionCtx { id, shard, session })),
-                None => Err(ServerError::UnknownSession(id)),
-            },
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel::<Option<R>>();
-                let shipped: SessionFn = Box::new(move |found| {
-                    let _ = reply.send(
-                        found.map(|(session, shard)| f(&mut SessionCtx { id, shard, session })),
-                    );
-                });
-                txs[shard]
-                    .send(Cmd::With {
-                        shard,
-                        id,
-                        f: shipped,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv()
-                    .expect(WORKER_REPLIES)
-                    .ok_or(ServerError::UnknownSession(id))
-            }
-        }
+        self.mode
+            .on(shard, move |s| {
+                let session = s.sessions.get_mut(&id)?;
+                Some(f(&mut SessionCtx { id, shard, session }))
+            })
+            .ok_or(ServerError::UnknownSession(id))
     }
 
     /// Runs `f` against session `id`'s runtime on its owning thread.
@@ -1717,24 +1543,7 @@ impl Server {
     /// Fresh per-shard load readings (also refreshes the cache p2c
     /// placement reads).
     pub fn shard_loads(&mut self) -> Vec<ShardLoad> {
-        let loads: Vec<ShardLoad> = match &mut self.mode {
-            Mode::Inline(states) => states.iter().map(|s| s.load()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<ShardLoad>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Load { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
+        let loads = self.mode.each(|s| s.load());
         self.loads.clone_from(&loads);
         loads
     }
@@ -1777,37 +1586,14 @@ impl Server {
         if hot == cool || loads[hot].sessions <= loads[cool].sessions {
             return Ok(None);
         }
-        let drained = match &mut self.mode {
-            Mode::Inline(states) => states[hot].drain_quiescent(),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[hot]
-                    .send(Cmd::Drain { shard: hot, reply })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        let Some((id, snap)) = drained else {
+        let Some((id, snap)) = self.mode.on(hot, ShardState::drain_quiescent) else {
             return Ok(None);
         };
         self.placement.remove(&id);
         self.loads[hot].sessions = self.loads[hot].sessions.saturating_sub(1);
-        let restored = match &mut self.mode {
-            Mode::Inline(states) => states[cool].open(id, SessionSpec::Restore(Box::new(snap))),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[cool]
-                    .send(Cmd::Open {
-                        shard: cool,
-                        id,
-                        spec: SessionSpec::Restore(Box::new(snap)),
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        restored?;
+        self.mode.on(cool, move |s| {
+            s.open(id, SessionSpec::Restore(Box::new(snap)))
+        })?;
         self.placement.insert(id, cool);
         self.loads[cool].sessions += 1;
         self.obs_record(ObsKind::SessionMigrated {
@@ -1821,9 +1607,9 @@ impl Server {
     /// Graceful-shutdown drain: stops admitting (every subsequent open,
     /// raise, or submit returns [`ServerError::Quiesced`] until
     /// [`Server::resume_admission`]), then advances every shard to the
-    /// fleet's furthest session clock. The load refresh is a barrier
-    /// through every per-shard command channel, so all previously
-    /// submitted work is resident before the drain; `run_until` then
+    /// fleet's furthest session clock. The load refresh is a job on every
+    /// shard, queued behind everything submitted before it, so all
+    /// previously submitted work is resident before the drain; `run_until` then
     /// dispatches every queued async event and every timer due by the
     /// drain deadline, and pads the stragglers' clocks to it. Afterwards
     /// each session's FIFO is empty and all clocks agree — the fleet is
@@ -1872,30 +1658,8 @@ impl Server {
     pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
         let started = Instant::now();
         let mut sessions: Vec<(SessionId, usize, SessionSnapshot)> = Vec::new();
-        match &mut self.mode {
-            Mode::Inline(states) => {
-                for state in states.iter() {
-                    for (id, snap) in state.snapshot_all() {
-                        sessions.push((id, state.index, snap));
-                    }
-                }
-            }
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<(SessionId, SessionSnapshot)>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::SnapshotAll { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                for (shard, rx) in receivers.into_iter().enumerate() {
-                    for (id, snap) in rx.recv().expect(WORKER_REPLIES) {
-                        sessions.push((id, shard, snap));
-                    }
-                }
-            }
+        for (shard, snaps) in self.mode.each(|s| s.snapshot_all()).into_iter().enumerate() {
+            sessions.extend(snaps.into_iter().map(|(id, snap)| (id, shard, snap)));
         }
         sessions.sort_by_key(|(id, _, _)| *id);
         let bytes = snapshot::encode_image(self.next_id, &sessions);
@@ -1936,24 +1700,9 @@ impl Server {
         let count = sessions.len() as u32;
         for (id, shard, snap) in sessions {
             let shard = shard % self.shards();
-            let result = match &mut self.mode {
-                Mode::Inline(states) => {
-                    states[shard].open(id, SessionSpec::Restore(Box::new(snap)))
-                }
-                Mode::Threaded { txs, .. } => {
-                    let (reply, rx) = mpsc::channel();
-                    txs[shard]
-                        .send(Cmd::Open {
-                            shard,
-                            id,
-                            spec: SessionSpec::Restore(Box::new(snap)),
-                            reply,
-                        })
-                        .expect(WORKER_ALIVE);
-                    rx.recv().expect(WORKER_REPLIES)
-                }
-            };
-            result?;
+            self.mode.on(shard, move |s| {
+                s.open(id, SessionSpec::Restore(Box::new(snap)))
+            })?;
             self.placement.insert(id, shard);
             self.loads[shard].sessions += 1;
             self.obs_record(ObsKind::SessionRestored {
@@ -2011,26 +1760,8 @@ impl Server {
     /// the wall-clock families, which `retain_families` can strip).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        match &self.mode {
-            Mode::Inline(states) => {
-                for state in states {
-                    snap.merge(&state.metrics());
-                }
-            }
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<MetricsSnapshot>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Metrics { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                for rx in receivers {
-                    snap.merge(&rx.recv().expect(WORKER_REPLIES));
-                }
-            }
+        for shard in self.mode.each(|s| s.metrics()) {
+            snap.merge(&shard);
         }
         snap.counter(
             "pdo_server_snapshots_total",
@@ -2071,24 +1802,12 @@ impl Server {
     /// across runs and thread counts — the post-mortem companion to
     /// [`Server::metrics`].
     pub fn dump_flight_recorders(&self, n: usize) -> String {
-        let mut dumps: Vec<(SessionId, String)> = match &self.mode {
-            Mode::Inline(states) => states.iter().flat_map(|s| s.dump(n)).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<(SessionId, String)>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Dump { shard, n, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .flat_map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
+        let mut dumps: Vec<(SessionId, String)> = self
+            .mode
+            .each(move |s| s.dump(n))
+            .into_iter()
+            .flatten()
+            .collect();
         dumps.sort_by_key(|(id, _)| *id);
         let mut out = String::new();
         let coord = self.obs.dump(n);
@@ -2110,24 +1829,11 @@ impl Server {
     /// the full cross-layer causal DAG, ready for
     /// [`pdo_obs::trace::export_chrome`] / `export_lines`.
     pub fn trace_spans(&self) -> Vec<Span> {
-        match &self.mode {
-            Mode::Inline(states) => states.iter().flat_map(|s| s.trace_spans()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<Span>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Traces { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .flat_map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        }
+        self.mode
+            .each(|s| s.trace_spans())
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// A point-in-time snapshot of per-shard and per-session counters.
@@ -2135,26 +1841,8 @@ impl Server {
     /// so two servers that executed the same workload produce equal
     /// reports regardless of thread count.
     pub fn report(&self) -> ServerReport {
-        let per_shard: Vec<(ShardReport, Vec<SessionReport>)> = match &self.mode {
-            Mode::Inline(states) => states.iter().map(|s| s.report()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<(ShardReport, Vec<SessionReport>)>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Report { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
         let mut report = ServerReport::default();
-        for (shard, sessions) in per_shard {
+        for (shard, sessions) in self.mode.each(|s| s.report()) {
             report.shards.push(shard);
             report.sessions.extend(sessions);
         }
@@ -2258,35 +1946,38 @@ mod tests {
     #[test]
     fn sessions_report_their_shard_and_close() {
         let (m, [a, b], _) = two_chain_module();
-        let mut server = Server::new(ServerConfig {
-            shards: 3,
-            adapt: fast_adapt(),
-            ..Default::default()
-        });
-        let mut ids = Vec::new();
-        for _ in 0..9 {
-            ids.push(
-                server
-                    .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
-                    .unwrap(),
-            );
+        for threads in [1usize, 3] {
+            let mut server = Server::new(ServerConfig {
+                shards: 3,
+                threads,
+                adapt: fast_adapt(),
+                ..Default::default()
+            });
+            let mut ids = Vec::new();
+            for _ in 0..9 {
+                ids.push(
+                    server
+                        .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
+                        .unwrap(),
+                );
+            }
+            assert_eq!(server.sessions().len(), 9);
+            let report = server.report();
+            for row in &report.sessions {
+                assert_eq!(row.shard, server.shard_of(row.session));
+            }
+            let sorted: Vec<SessionId> = report.sessions.iter().map(|r| r.session).collect();
+            let mut expect = sorted.clone();
+            expect.sort();
+            assert_eq!(sorted, expect, "report rows sorted by session id");
+            assert!(server.close_session(ids[0]));
+            assert!(!server.close_session(ids[0]), "already closed");
+            assert_eq!(server.sessions().len(), 8);
+            assert!(matches!(
+                server.raise_sync(ids[0], a, &[]),
+                Err(ServerError::UnknownSession(_))
+            ));
         }
-        assert_eq!(server.sessions().len(), 9);
-        let report = server.report();
-        for row in &report.sessions {
-            assert_eq!(row.shard, server.shard_of(row.session));
-        }
-        let sorted: Vec<SessionId> = report.sessions.iter().map(|r| r.session).collect();
-        let mut expect = sorted.clone();
-        expect.sort();
-        assert_eq!(sorted, expect, "report rows sorted by session id");
-        assert!(server.close_session(ids[0]));
-        assert!(!server.close_session(ids[0]), "already closed");
-        assert_eq!(server.sessions().len(), 8);
-        assert!(matches!(
-            server.raise_sync(ids[0], a, &[]),
-            Err(ServerError::UnknownSession(_))
-        ));
     }
 
     #[test]
